@@ -1,8 +1,6 @@
 //! Serving throughput: aggregate decision rate of the batched
 //! `ServingEngine` at batch sizes 1/4/16/64, against 16 independent
-//! single-stream sessions. `reports/BENCH_2.json` (via
-//! `figures -- --fig bench2`) snapshots the derived tokens/s and
-//! sessions/s; the enforced >= 3x gate lives in
+//! single-stream sessions. The enforced >= 3x gate lives in
 //! `tests/serving_throughput.rs`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

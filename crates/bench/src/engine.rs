@@ -30,13 +30,6 @@ impl Engine {
         Engine { fidelity, dir, zoo }
     }
 
-    /// Temp-dir engine for tests (no shared cache pollution).
-    pub fn ephemeral(fidelity: Fidelity, tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("ntbench-{tag}-{}", std::process::id()));
-        let zoo = Zoo::new(dir.join("zoo"));
-        Engine { fidelity, dir, zoo }
-    }
-
     fn tag(&self) -> &'static str {
         match self.fidelity {
             Fidelity::Smoke => "smoke",

@@ -12,8 +12,8 @@
 //! Both record per-session `(obs index, action, logits)` streams, so the
 //! loopback gate (`tests/ingress_loopback.rs`) can assert the socket is
 //! a transport, not a different server. The dense fixed-batch drivers
-//! ([`dense_direct`], [`dense_socket`]) feed the throughput leg and
-//! `figures --fig bench8`.
+//! ([`dense_direct`], [`dense_socket`]) feed the throughput legs of the
+//! loopback and telemetry-overhead gates and `nt-top`'s demo load.
 
 use crate::trace::Trace;
 use netllm::{
@@ -501,8 +501,6 @@ pub struct ThroughputOutcome {
     pub decisions: u64,
     /// Wall time, submit of the first to completion of the last.
     pub elapsed: Duration,
-    /// Submit→completion latency per decision (ms).
-    pub latencies_ms: Vec<f64>,
 }
 
 impl ThroughputOutcome {
@@ -525,25 +523,22 @@ pub fn dense_direct(
     let fleet = NetLlmFleet { abr: &models.abr, cjs: &models.cjs, vp: &models.vp };
     let mut server: ShardedServer<NetLlmFleet> = ShardedServer::new(shards);
     let ids: Vec<u64> = (0..sessions).map(|s| server.join_group(&fleet, kind_of(s))).collect();
-    let mut latencies_ms = Vec::with_capacity(sessions * rounds);
     let mut decisions = 0u64;
     let started = Instant::now();
     for round in 0..rounds {
-        let mut open: Vec<(u64, Ticket, Instant)> = ids
+        let mut open: Vec<(u64, Ticket)> = ids
             .iter()
             .enumerate()
             .map(|(s, &id)| {
                 let i = round % streams.len_for(s, usize::MAX).max(1);
-                let t = server.submit(id, streams.obs(s, i)).expect("dense submit");
-                (id, t, Instant::now())
+                (id, server.submit(id, streams.obs(s, i)).expect("dense submit"))
             })
             .collect();
         while !open.is_empty() {
             server.tick(&fleet);
-            open.retain(|&(id, t, at)| match server.poll_status(t) {
+            open.retain(|&(id, t)| match server.poll_status(t) {
                 TicketStatus::Served(_) => {
                     let _ = server.last_logits(id);
-                    latencies_ms.push(at.elapsed().as_secs_f64() * 1e3);
                     decisions += 1;
                     false
                 }
@@ -556,7 +551,7 @@ pub fn dense_direct(
     for id in ids {
         let _ = server.leave(id);
     }
-    ThroughputOutcome { decisions, elapsed, latencies_ms }
+    ThroughputOutcome { decisions, elapsed }
 }
 
 /// The same dense workload over the socket: `sessions` sessions each
@@ -592,9 +587,8 @@ pub fn dense_socket(
     let mut sent = vec![0usize; sessions];
     let mut inflight = vec![0usize; sessions];
     let mut done = vec![0usize; sessions];
-    let mut pending_submit: VecDeque<(usize, Instant)> = VecDeque::new();
-    let mut open: BTreeMap<u64, (usize, Instant)> = BTreeMap::new();
-    let mut latencies_ms = Vec::with_capacity(sessions * rounds);
+    let mut pending_submit: VecDeque<usize> = VecDeque::new();
+    let mut open: BTreeMap<u64, usize> = BTreeMap::new();
     let mut decisions = 0u64;
     let started = Instant::now();
     let deadline = started + Duration::from_secs(600);
@@ -606,7 +600,7 @@ pub fn dense_socket(
                 tx.submit(ids[s], &streams.obs(s, i)).expect("dense submit");
                 sent[s] += 1;
                 inflight[s] += 1;
-                pending_submit.push_back((s, Instant::now()));
+                pending_submit.push_back(s);
             }
         }
         let frame = match frx.try_recv() {
@@ -619,24 +613,23 @@ pub fn dense_socket(
         };
         match frame {
             Frame::TicketGrant { ticket, .. } => {
-                let (s, at) = pending_submit.pop_front().expect("unexpected grant");
-                open.insert(ticket, (s, at));
+                let s = pending_submit.pop_front().expect("unexpected grant");
+                open.insert(ticket, s);
             }
             Frame::Busy { retry_after_ms, .. } => {
                 // Dense mode never overruns the default queue cap, but
                 // pace and retry anyway so the driver is robust.
-                let (s, _) = pending_submit.pop_front().expect("unexpected Busy");
+                let s = pending_submit.pop_front().expect("unexpected Busy");
                 inflight[s] -= 1;
                 sent[s] -= 1;
                 std::thread::sleep(Duration::from_millis(retry_after_ms as u64));
             }
             Frame::Completion { ticket, session, .. } => {
-                let (s, at) = open.remove(&ticket).expect("completion for unknown ticket");
+                let s = open.remove(&ticket).expect("completion for unknown ticket");
                 assert_eq!(by_id[&session], s);
                 inflight[s] -= 1;
                 done[s] += 1;
                 decisions += 1;
-                latencies_ms.push(at.elapsed().as_secs_f64() * 1e3);
             }
             other => panic!("unexpected frame in dense replay: {other:?}"),
         }
@@ -654,5 +647,5 @@ pub fn dense_socket(
     }
     tx.bye().expect("bye");
     let _ = pump.join();
-    ThroughputOutcome { decisions, elapsed, latencies_ms }
+    ThroughputOutcome { decisions, elapsed }
 }

@@ -16,14 +16,15 @@
 //!
 //! The release-only half gates the scheduler's operational claims at
 //! batch 64: `CacheAware` keeps every shard under its KV budget while the
-//! queued path's aggregate throughput stays no worse than PR 3's lockstep
-//! serving (snapshot in `reports/BENCH_4.json`, `figures -- --fig
-//! bench4`).
+//! queued path's aggregate throughput stays no worse than stepping the
+//! same per-shard batches directly on K engines.
 
 use netllm::{
     AdmissionPolicy, CjsObs, FleetAction, FleetObs, NetLlmAbr, NetLlmCjs, NetLlmFleet, NetLlmVp,
     ShardedServer, Ticket, FLEET_ABR, FLEET_CJS, FLEET_VP,
 };
+#[cfg(not(debug_assertions))]
+use netllm::{ServingEngine, SessionId};
 use nt_abr::{AbrObservation, AbrPolicy};
 use nt_cjs::{generate_workload, run_workload, Scheduler, Srpt, WorkloadConfig};
 use nt_llm::{size_spec, Zoo};
@@ -394,15 +395,46 @@ fn bursty_trace_cache_aware_matches_unbatched_paths() {
     assert!(events >= 200, "trace too small to gate anything: {events} events");
 }
 
+/// Step every engine with a non-empty batch, fanning the busy engines
+/// out over the kernel pool in contiguous bands — the fan-out
+/// `ShardedServer::tick` runs its shards on.
+#[cfg(not(debug_assertions))]
+#[allow(clippy::type_complexity)]
+fn step_fanned_out(
+    engines: &mut [ServingEngine<NetLlmAbr>],
+    m: &NetLlmAbr,
+    per: &[Vec<(SessionId, &AbrObservation)>],
+) {
+    use std::sync::Mutex;
+    let mut busy: Vec<(&mut ServingEngine<NetLlmAbr>, &[(SessionId, &AbrObservation)])> = engines
+        .iter_mut()
+        .zip(per)
+        .filter(|(_, b)| !b.is_empty())
+        .map(|(e, b)| (e, b.as_slice()))
+        .collect();
+    // One band per worker; with one worker `run_tasks` runs inline.
+    let band_len = busy.len().div_ceil(nt_tensor::pool::num_threads().min(busy.len()));
+    let bands: Vec<Mutex<Option<&mut [(&mut ServingEngine<NetLlmAbr>, &[_])]>>> =
+        busy.chunks_mut(band_len).map(|band| Mutex::new(Some(band))).collect();
+    nt_tensor::pool::run_tasks(bands.len(), |bi| {
+        let band = bands[bi].lock().unwrap().take().expect("engine band dispatched twice");
+        for (e, b) in band.iter_mut() {
+            let _ = e.step(m, b);
+        }
+    });
+}
+
 /// Release-only operational gate at batch 64 (debug codegen distorts the
 /// kernels the timing half measures — CI runs `cargo test --release -p
 /// nt-bench --test continuous_batching`): the queued front end must match
-/// lockstep logits exactly-enough (1e-5), `CacheAware` must keep every
-/// shard under its KV budget after every tick, and queued aggregate
-/// throughput must be no worse than lockstep serving (0.9x noise floor —
-/// the two paths run identical flops; the queue adds bookkeeping only).
+/// the direct per-shard engine steps exactly-enough (1e-5), `CacheAware`
+/// must keep every shard under its KV budget after every tick, and queued
+/// aggregate throughput must be no worse than the direct steps (0.9x
+/// noise floor — both sides run identical flops on the same pool
+/// fan-out; the queue adds bookkeeping only).
 #[cfg(not(debug_assertions))]
 #[test]
+#[allow(clippy::needless_range_loop)]
 fn cache_aware_holds_budget_at_batch_64_without_losing_throughput() {
     use std::time::Instant;
     const BATCH: usize = 64;
@@ -420,52 +452,40 @@ fn cache_aware_holds_budget_at_batch_64_without_losing_throughput() {
     let streams: Vec<Vec<AbrObservation>> =
         (0..BATCH).map(|s| AbrObservation::synthetic_stream(9000 + s as u64, ticks)).collect();
 
-    // ---- lockstep reference (PR 3 path): timing + logits + final KV ----
-    let mut lockstep_logits: Vec<Vec<Vec<f32>>> = vec![Vec::new(); BATCH];
-    let mut lockstep_best = f64::MAX;
-    let mut final_total_bytes = 0usize;
-    for rep in 0..2 {
-        let mut server = ShardedServer::new(SHARDS);
-        let ids: Vec<_> = (0..BATCH).map(|_| server.join(&m)).collect();
-        if rep == 0 {
-            for l in &mut lockstep_logits {
-                l.clear();
-            }
-        }
+    // ---- direct baseline: the hash router's per-shard batches stepped
+    // on K bare engines. Returns (seconds, logits, final KV bytes). ------
+    let router = ShardedServer::<NetLlmAbr>::new(SHARDS);
+    let home: Vec<usize> = (0..BATCH).map(|s| router.home_shard(s as u64)).collect();
+    let run_direct = |record: bool| -> (f64, Vec<Vec<Vec<f32>>>, usize) {
+        let mut engines: Vec<ServingEngine<NetLlmAbr>> =
+            (0..SHARDS).map(|_| ServingEngine::new()).collect();
+        let locals: Vec<SessionId> = home.iter().map(|&k| engines[k].join(&m)).collect();
+        let mut logits: Vec<Vec<Vec<f32>>> = vec![Vec::new(); BATCH];
         let t0 = Instant::now();
         for t in 0..ticks {
-            let reqs: Vec<_> =
-                ids.iter().enumerate().map(|(s, &id)| (id, &streams[s][t])).collect();
-            let _ = server.step(&m, &reqs);
-            if rep == 0 {
-                for (s, &id) in ids.iter().enumerate() {
-                    lockstep_logits[s].push(server.last_logits(id).to_vec());
+            let mut per: Vec<Vec<(SessionId, &AbrObservation)>> = vec![Vec::new(); SHARDS];
+            for s in 0..BATCH {
+                per[home[s]].push((locals[s], &streams[s][t]));
+            }
+            step_fanned_out(&mut engines, &m, &per);
+            if record {
+                for s in 0..BATCH {
+                    logits[s].push(engines[home[s]].last_logits(locals[s]).to_vec());
                 }
             }
         }
-        lockstep_best = lockstep_best.min(t0.elapsed().as_secs_f64());
-        final_total_bytes = server.cache_bytes();
-    }
+        let secs = t0.elapsed().as_secs_f64();
+        (secs, logits, engines.iter().map(ServingEngine::cache_bytes).sum())
+    };
 
-    // Budget: 1.5x a perfectly balanced shard at end-of-run size —
-    // feasible throughout, tight enough that hash-placement skew and
-    // growth keep the steering pass honest.
-    let budget = final_total_bytes / SHARDS * 3 / 2;
-
-    // ---- queued path: submit all, tick, poll -----------------------------
-    let mut queued_best = f64::MAX;
-    let mut queued_logits: Vec<Vec<Vec<f32>>> = vec![Vec::new(); BATCH];
-    for rep in 0..2 {
+    // ---- queued path: submit all, tick, poll. Returns (seconds, logits).
+    let run_queued = |budget: usize, record: bool| -> (f64, Vec<Vec<Vec<f32>>>) {
         let mut server = ShardedServer::with_policy(
             SHARDS,
             AdmissionPolicy::CacheAware { budget_bytes: budget },
         );
         let ids: Vec<_> = (0..BATCH).map(|_| server.join(&m)).collect();
-        if rep == 0 {
-            for l in &mut queued_logits {
-                l.clear();
-            }
-        }
+        let mut logits: Vec<Vec<Vec<f32>>> = vec![Vec::new(); BATCH];
         let t0 = Instant::now();
         for t in 0..ticks {
             let tickets: Vec<_> = ids
@@ -484,35 +504,51 @@ fn cache_aware_holds_budget_at_batch_64_without_losing_throughput() {
             for ticket in tickets {
                 let _ = server.poll(ticket).expect("ticket must resolve after its tick");
             }
-            if rep == 0 {
+            if record {
                 for (s, &id) in ids.iter().enumerate() {
-                    queued_logits[s].push(server.last_logits(id).to_vec());
+                    logits[s].push(server.last_logits(id).to_vec());
                 }
             }
         }
-        queued_best = queued_best.min(t0.elapsed().as_secs_f64());
+        (t0.elapsed().as_secs_f64(), logits)
+    };
+
+    // One recording run per side (doubling as warm-up), then REPS timed
+    // runs interleaved direct/queued so machine drift hits both sides;
+    // each side's best run is its estimate.
+    const REPS: usize = 9;
+    let (_, direct_logits, final_total_bytes) = run_direct(true);
+    // Budget: 1.5x a perfectly balanced shard at end-of-run size —
+    // feasible throughout, tight enough that hash-placement skew and
+    // growth keep the steering pass honest.
+    let budget = final_total_bytes / SHARDS * 3 / 2;
+    let (_, queued_logits) = run_queued(budget, true);
+    let (mut direct_best, mut queued_best) = (f64::MAX, f64::MAX);
+    for _ in 0..REPS {
+        direct_best = direct_best.min(run_direct(false).0);
+        queued_best = queued_best.min(run_queued(budget, false).0);
     }
 
-    // Queued and lockstep serving are the same math.
+    // Queued serving and the direct engine steps are the same math.
     for s in 0..BATCH {
         for t in 0..ticks {
-            for (x, y) in queued_logits[s][t].iter().zip(&lockstep_logits[s][t]) {
-                assert!((x - y).abs() < 1e-5, "stream {s} tick {t}: queued {x} vs lockstep {y}");
+            for (x, y) in queued_logits[s][t].iter().zip(&direct_logits[s][t]) {
+                assert!((x - y).abs() < 1e-5, "stream {s} tick {t}: queued {x} vs direct {y}");
             }
         }
     }
 
     let decisions = (BATCH * ticks) as f64;
-    let ratio = lockstep_best / queued_best.max(1e-9);
+    let ratio = direct_best / queued_best.max(1e-9);
     println!(
-        "continuous batching at B={BATCH}, K={SHARDS}: queued {:.1} dec/s vs lockstep {:.1} dec/s \
+        "continuous batching at B={BATCH}, K={SHARDS}: queued {:.1} dec/s vs direct {:.1} dec/s \
          ({ratio:.2}x), KV budget {budget} B/shard held for {ticks} ticks",
         decisions / queued_best,
-        decisions / lockstep_best
+        decisions / direct_best
     );
     assert!(
         ratio >= 0.9,
-        "queued serving must be no worse than lockstep: lockstep {lockstep_best:.3}s vs \
-         queued {queued_best:.3}s ({ratio:.2}x)"
+        "queued serving must be no worse than the direct engine steps: direct \
+         {direct_best:.3}s vs queued {queued_best:.3}s ({ratio:.2}x)"
     );
 }

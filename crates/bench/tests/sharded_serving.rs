@@ -1,5 +1,5 @@
 //! Acceptance gates for the sharded fleet: CJS and VP served through
-//! `ShardedServer` must match their unbatched `InferenceSession` paths at
+//! `ShardedServer`'s `submit → tick → poll` front end must match their unbatched `InferenceSession` paths at
 //! 1e-5 (the CJS path exercises a candidate-token rollback inside every
 //! batched step; ABR equivalence incl. steer/rebalance lives with the
 //! router's unit tests), and on hosts where the shard fan-out can engage
@@ -11,9 +11,12 @@
 //! `cargo test --release -p nt-bench --test sharded_serving`). Per-shard
 //! math is identical across shard counts, so on narrow hosts the honest
 //! expectation is parity: there the gate enforces no-regression and
-//! prints the measured ratio for `BENCH_3.json`.
+//! prints the measured ratio.
 
-use netllm::{AdaptMode, CjsObs, LoraSpec, NetLlmCjs, NetLlmVp, ShardedServer, VpQuery};
+use netllm::{
+    AdaptMode, CjsObs, GlobalSessionId, LoraSpec, NetLlmCjs, NetLlmVp, ServedTask, ShardedServer,
+    VpQuery,
+};
 use nt_cjs::{generate_workload, run_workload, Scheduler, Srpt, WorkloadConfig};
 use nt_llm::{size_spec, Zoo};
 use nt_vp::{extract_samples, generate, jin2022_like, DatasetSpec, VpSample};
@@ -39,6 +42,28 @@ fn record_cjs_obs(seed: u64, executors: usize) -> Vec<CjsObs> {
     obs
 }
 
+/// Submit one observation per session, run one tick, and poll every
+/// ticket: the actions come back in `reqs` order.
+fn serve_once<T>(
+    server: &mut ShardedServer<T>,
+    task: &T,
+    reqs: Vec<(GlobalSessionId, T::Obs)>,
+) -> Vec<T::Action>
+where
+    T: ServedTask + Sync,
+    T::Obs: Sync,
+    T::Slot: Send,
+    T::Action: Send,
+{
+    let n = reqs.len();
+    let tickets: Vec<_> = reqs
+        .into_iter()
+        .map(|(id, obs)| server.submit(id, obs).unwrap_or_else(|_| panic!("submit refused")))
+        .collect();
+    assert_eq!(server.tick(task).served, n, "one tick serves one arrival per session");
+    tickets.into_iter().map(|t| server.poll(t).expect("served ticket must resolve")).collect()
+}
+
 #[test]
 #[allow(clippy::needless_range_loop)]
 fn sharded_cjs_matches_unbatched_rollouts_with_rollback() {
@@ -56,8 +81,9 @@ fn sharded_cjs_matches_unbatched_rollouts_with_rollback() {
     let ids: Vec<_> = streams.iter().map(|_| server.join(&m)).collect();
     let mut served: Vec<Vec<(usize, usize, Vec<f32>)>> = vec![Vec::new(); streams.len()];
     for t in 0..ticks {
-        let reqs: Vec<_> = ids.iter().enumerate().map(|(s, &id)| (id, &streams[s][t])).collect();
-        let decisions = server.step(&m, &reqs);
+        let reqs: Vec<_> =
+            ids.iter().enumerate().map(|(s, &id)| (id, streams[s][t].clone())).collect();
+        let decisions = serve_once(&mut server, &m, reqs);
         for ((s, &id), d) in ids.iter().enumerate().zip(decisions) {
             served[s].push((d.candidate, d.cap, server.last_logits(id).to_vec()));
         }
@@ -97,8 +123,8 @@ fn sharded_vp_one_shot_slots_match_unbatched_eval() {
         let queries: Vec<VpQuery> = (0..4)
             .map(|i| VpQuery { sample: samples[(4 * round + i) % samples.len()].clone(), pw })
             .collect();
-        let reqs: Vec<_> = ids.iter().zip(&queries).map(|(&id, q)| (id, q)).collect();
-        let _ = server.step(&m, &reqs);
+        let reqs: Vec<_> = ids.iter().copied().zip(queries).collect();
+        let _ = serve_once(&mut server, &m, reqs);
         for &id in &ids {
             served.push(server.last_logits(id).to_vec());
             let _ = server.leave(id);
@@ -145,8 +171,8 @@ fn multi_shard_fleet_beats_single_shard_aggregate_throughput() {
             let start = Instant::now();
             for t in 0..ticks {
                 let reqs: Vec<_> =
-                    ids.iter().enumerate().map(|(s, &id)| (id, &streams[s][t])).collect();
-                let _ = server.step(&m, &reqs);
+                    ids.iter().enumerate().map(|(s, &id)| (id, streams[s][t].clone())).collect();
+                let _ = serve_once(&mut server, &m, reqs);
                 for (s, &id) in ids.iter().enumerate() {
                     logits[s].push(server.last_logits(id).to_vec());
                 }

@@ -312,8 +312,23 @@ struct OpenTicket {
 }
 
 /// Serve `models` on a fresh loopback listener. Returns once the
-/// listener is bound and the scheduler is running.
+/// listener is bound and the scheduler is running. A config the
+/// scheduler cannot run — zero `shards`, `queue_cap` or
+/// `max_open_per_conn` — is refused with [`std::io::ErrorKind::InvalidInput`]
+/// naming the field, before anything is bound.
 pub fn serve(models: FleetModels, cfg: IngressConfig) -> std::io::Result<IngressHandle> {
+    for (field, value) in [
+        ("shards", cfg.shards),
+        ("queue_cap", cfg.queue_cap),
+        ("max_open_per_conn", cfg.max_open_per_conn),
+    ] {
+        if value == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("IngressConfig::{field} must be at least 1"),
+            ));
+        }
+    }
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let addr = listener.local_addr()?;
     let stats = Arc::new(IngressStats::default());

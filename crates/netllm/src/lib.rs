@@ -20,9 +20,8 @@
 //! and [`fleet`] are the serving stack: an adapter-generic batched engine
 //! ([`ServedTask`]), an async admission queue with pluggable placement
 //! policies ([`AdmissionQueue`], [`AdmissionPolicy`]), a sharded fleet
-//! with lockstep and continuous (submit/tick/poll) front ends
-//! ([`ShardedServer`]), and the heterogeneous ABR+CJS+VP mix
-//! ([`NetLlmFleet`]).
+//! served through one submit/tick/poll front end ([`ShardedServer`]),
+//! and the heterogeneous ABR+CJS+VP mix ([`NetLlmFleet`]).
 //!
 //! The backbone is the in-repo pre-trained [`nt_llm::TinyLm`] — see
 //! `DESIGN.md` for the substitution argument (repro band: candle/burn are

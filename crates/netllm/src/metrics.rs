@@ -1,6 +1,6 @@
 //! Process metrics: atomic per-shard serving counters plus the kernel
-//! pool's dispatch counters, behind one registry so the benches
-//! (`figures --fig bench6`) and the future control plane read the same
+//! pool's dispatch counters, behind one registry so the gates, the
+//! benchmark (`fleetbench`) and the control plane read the same
 //! numbers instead of each keeping private tallies.
 //!
 //! The registry is owned by [`crate::ShardedServer`] (one
@@ -87,7 +87,7 @@ pub struct ShardSnapshot {
     /// Token rows those evictions priced for replay
     /// ([`crate::ServedTask::rebuild_rows`] at the moment of eviction,
     /// summed) — the eviction-*cost* counter the policy comparison in
-    /// `figures --fig bench9` scrapes; recorded identically under every
+    /// `tests/sched_gate.rs` reads; recorded identically under every
     /// eviction policy so the totals compare apples-to-apples.
     pub evicted_rebuild_rows: u64,
     /// Pending arrivals in this shard's queue at the last tick boundary.
@@ -112,7 +112,7 @@ pub struct PoolDispatchSnapshot {
 
 /// Fleet-wide fault/recovery counters (monotonic totals). Per-event
 /// detail lives on `TickReport::faults`; these are the cumulative numbers
-/// the control-plane read path and `figures --fig bench7` scrape.
+/// the control-plane read path and `tests/fault_soak.rs` read.
 #[derive(Debug, Default)]
 pub struct FaultCounters {
     shard_kills: AtomicU64,
@@ -147,7 +147,7 @@ pub const LATENCY_BUCKETS: usize = 31;
 /// like every other counter here). Exact sums plus a log2 histogram:
 /// enough for mean/max and bucket-resolution percentiles without the
 /// serving path ever allocating. Precise percentiles for reports are
-/// measured client-side (`figures --fig bench8`).
+/// measured client-side (`fleetbench`).
 #[derive(Debug, Default)]
 pub struct LatencyCounters {
     count: AtomicU64,

@@ -1,16 +1,12 @@
 //! Async admission queue + tick scheduling policies for continuous
 //! batching.
 //!
-//! PR 3's fleet was lockstep: callers orchestrated every tick, handing
-//! [`crate::ShardedServer::step`] a fully-formed batch, so an observation
-//! arriving mid-tick waited a whole batch cycle and every session had to
-//! be joined before stepping. This module is the queuing discipline that
-//! removes the lockstep: arrivals enqueue *asynchronously* into per-shard
-//! [`AdmissionQueue`]s (stamped with a logical arrival clock and tagged
-//! with their adapter group), and each shard drains its queue at tick
-//! boundaries — at most one arrival per session per tick, FIFO within a
-//! session — so sessions join, answer and leave mid-stream while the
-//! engine still gets dense batched steps.
+//! This module is the fleet's queuing discipline: arrivals enqueue
+//! *asynchronously* into per-shard [`AdmissionQueue`]s (stamped with a
+//! logical arrival clock and tagged with their adapter group), and each
+//! shard drains its queue at tick boundaries — at most one arrival per
+//! session per tick, FIFO within a session — so sessions join, answer and
+//! leave mid-stream while the engine still gets dense batched steps.
 //!
 //! ```text
 //!  submit(obs) ──► Ticket ─┐   per-shard queues     tick boundary
@@ -516,9 +512,9 @@ impl AdmissionPolicy {
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum EvictionPolicy {
     /// Never reclaim: under pressure the scheduler only defers drained
-    /// arrivals back to the queues (and a lockstep `step` over demand
-    /// panics). For operators who size the pool for the worst case and
-    /// want deferral-only backpressure.
+    /// arrivals back to the queues, youngest first. For operators who
+    /// size the pool for the worst case and want deferral-only
+    /// backpressure.
     None,
     /// Clear the coldest (least-recently-served) idle session's pages; it
     /// re-anchors from its episode log on its next step, exactly like a

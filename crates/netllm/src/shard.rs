@@ -5,19 +5,15 @@
 //! batched steps — so the shard boundary is clean: nothing is shared
 //! between shards but the (read-only) model weights.
 //!
-//! Two front ends drive the fleet:
-//!
-//! - **Lockstep** ([`ShardedServer::step`], PR 3): the caller hands over a
-//!   fully-formed `(session, obs)` batch and receives the actions in
-//!   request order — the reference path the equivalence gates replay.
-//! - **Continuous** ([`ShardedServer::submit`] → [`ShardedServer::tick`] →
-//!   [`ShardedServer::poll`]): observation arrivals enqueue asynchronously
-//!   into per-shard [`AdmissionQueue`]s (stamped by a logical arrival
-//!   clock, tagged with their adapter group) and come back as [`Ticket`]s;
-//!   each `tick` drains every shard's queue at the tick boundary — at most
-//!   one arrival per session, FIFO within a session — steps the busy
-//!   shards, and banks the actions for `poll`. Sessions join, answer and
-//!   leave mid-stream; nobody orchestrates a lockstep batch.
+//! One front end drives the fleet: [`ShardedServer::submit`] →
+//! [`ShardedServer::tick`] → [`ShardedServer::poll`]. Observation
+//! arrivals enqueue asynchronously into per-shard [`AdmissionQueue`]s
+//! (stamped by a logical arrival clock, tagged with their adapter group)
+//! and come back as [`Ticket`]s; each `tick` drains every shard's queue at
+//! the tick boundary — at most one arrival per session, FIFO within a
+//! session — steps the busy shards, and banks the actions for `poll`.
+//! Sessions join, answer and leave mid-stream; a caller that wants a
+//! whole batch answered submits it and ticks once.
 //!
 //! ```text
 //!  submit(id,obs) ─► Ticket     ┌ q0 ─ drain ─► shard 0: ServingEngine ┐
@@ -47,15 +43,15 @@
 //! episode state travel wholesale, queued arrivals follow) and re-admits
 //! it on another shard — per-session math is untouched, so served answers
 //! stay bit-identical across migrations. Today shards are per-core
-//! (`NT_THREADS`-capped scoped workers, pool-registered so per-matmul and
+//! (`NT_THREADS`-capped pool workers, pool-registered so per-matmul and
 //! band parallelism never stack a second thread layer underneath); the
 //! same route-table design extends to per-process and per-host shards
 //! later — a shard is just an index.
 //!
-//! **Fault tolerance** (continuous front end only): each shard is a
-//! recoverable failure domain. A [`FaultPlan`] armed via
-//! [`ShardedServer::inject`] crashes/stalls shards, poisons single steps
-//! or drops drained batches at exact tick points; the per-tick
+//! **Fault tolerance**: each shard is a recoverable failure domain. A
+//! [`FaultPlan`] armed via [`ShardedServer::inject`] crashes/stalls
+//! shards, poisons single steps or drops drained batches at exact tick
+//! points; the per-tick
 //! [`HealthChecker`] walks silent shards Healthy → Suspect (retry with
 //! backoff — a stalled shard revives with all state intact) → Dead. On
 //! death the shard's sessions are salvaged — KV pages died with the
@@ -114,10 +110,10 @@ impl<A, O> LeaveReport<A, O> {
     }
 }
 
-/// K independent [`ServingEngine`] shards behind a route table, with a
-/// lockstep and a continuous (queue/tick/poll) front end.
+/// K independent [`ServingEngine`] shards behind a route table, served
+/// through one queue/tick/poll front end.
 ///
-/// The continuous front end in one breath — join, submit, tick until
+/// The front end in one breath — join, submit, tick until
 /// served, poll, leave:
 ///
 /// ```
@@ -670,7 +666,7 @@ impl<T: ServedTask> ShardedServer<T> {
         self.shards[shard].last_logits(local)
     }
 
-    // ---- continuous front end ------------------------------------------
+    // ---- front end: submit / tick / poll -------------------------------
 
     /// Enqueue an observation for `id`'s next decision. Returns the
     /// [`Ticket`] to redeem via [`ShardedServer::poll`] after a future
@@ -813,8 +809,7 @@ impl<T: ServedTask> ShardedServer<T> {
 
     /// The active eviction policy's next victim, or `None` (under
     /// [`EvictionPolicy::None`], or when every page-holding session is
-    /// protected). Shared by both memory guards so the scheduled and
-    /// lockstep front ends reclaim identically.
+    /// protected).
     fn eviction_victim(
         &self,
         task: &T,
@@ -999,51 +994,18 @@ impl<T: ServedTask> ShardedServer<T> {
         report
     }
 
-    /// The lockstep front end's memory guard: same pre-release + eviction
-    /// pass, but a lockstep batch cannot be deferred — when even eviction
-    /// cannot cover the batch the server panics with the sizing instead
-    /// of letting a mid-step reservation fail opaquely.
-    fn memory_guard_lockstep(
-        &mut self,
-        task: &T,
-        per: &[Vec<(SessionId, &T::Obs)>],
-        busy: &BTreeSet<GlobalSessionId>,
-    ) {
-        let Some(pool) = self.pool.clone() else { return };
-        for (s, reqs) in per.iter().enumerate() {
-            let _ = self.shards[s].release_reanchor_pages(task, reqs);
-        }
-        let demand: usize =
-            self.shards.iter().zip(per).map(|(e, reqs)| e.page_demand(task, reqs)).sum();
-        while demand > pool.free_pages() {
-            match self.eviction_victim(task, busy) {
-                Some(v) => {
-                    self.evict_session(v, task);
-                }
-                None => panic!(
-                    "page pool cannot cover this lockstep batch: demand {demand} pages, \
-                     {} free of {} — use the queued front end (submit/tick/poll) for \
-                     deferral, raise the budget, or shrink the batch",
-                    pool.free_pages(),
-                    pool.capacity_pages()
-                ),
-            }
-        }
-    }
-
     /// Serve one scheduled tick: every shard drains its queue at this
     /// tick boundary (at most one arrival per session, FIFO within a
     /// session), the memory guard reserves the tick's page demand
     /// (evicting / deferring under pressure — see
     /// [`ShardedServer::with_memory`]), busy shards run one batched
-    /// [`ServingEngine::step`] each (on `NT_THREADS` scoped workers, as in
-    /// lockstep serving), served actions are banked for
-    /// [`ShardedServer::poll`], and — under
+    /// [`ServingEngine::step`] each (on `NT_THREADS` pool workers), served
+    /// actions are banked for [`ShardedServer::poll`], and — under
     /// [`AdmissionPolicy::CacheAware`] — the steering pass migrates the
     /// coldest sessions off any shard whose KV bytes crossed the budget.
-    /// Per-slot math is identical to the lockstep path, so scheduled and
-    /// lockstep serving produce identical logits (gated at 1e-5 in
-    /// `nt-bench/tests/continuous_batching.rs`).
+    /// Per-slot math is independent of batching, sharding and queueing, so
+    /// every served answer equals the session's unbatched replay (gated at
+    /// 1e-5 in `nt-bench/tests/continuous_batching.rs`).
     pub fn tick(&mut self, task: &T) -> TickReport
     where
         T: Sync,
@@ -1213,7 +1175,7 @@ impl<T: ServedTask> ShardedServer<T> {
             .map(|(s, batch)| Self::requests_of(&self.routes, s, batch))
             .collect();
 
-        // Step the busy shards (same fan-out as lockstep `step`).
+        // Step the busy shards.
         let (results, step_ns) = self.step_partitioned(task, &per);
         phase_ns[TickPhase::PlanStep as usize] = step_ns.iter().sum();
 
@@ -1422,72 +1384,15 @@ impl<T: ServedTask> ShardedServer<T> {
         }
     }
 
-    /// Serve one lockstep tick across the fleet: requests are routed to
-    /// their home shards, each busy shard runs one batched
-    /// [`ServingEngine::step`], and the answers come back in request
-    /// order. With `NT_THREADS > 1` the shards step on scoped worker
-    /// threads — shard state is fully disjoint and per-slot math is
-    /// independent of the fan-out, so sharded and single-shard serving
-    /// produce identical logits. Each call is a tick boundary: it closes
-    /// the steering cycle (see [`ShardedServer::tick`]).
-    pub fn step(&mut self, task: &T, requests: &[(GlobalSessionId, &T::Obs)]) -> Vec<T::Action>
-    where
-        T: Sync,
-        T::Obs: Sync,
-        T::Slot: Send,
-        T::Action: Send,
-    {
-        if requests.is_empty() {
-            return Vec::new();
-        }
-        // Fault injection drives the continuous front end only: lockstep
-        // callers orchestrate their own batches and have no queue to park
-        // work in while a shard is dark.
-        debug_assert!(
-            requests.iter().all(|&(id, _)| self.health.state(self.routes[&id].0).is_healthy()),
-            "lockstep step cannot serve sessions on a crashed/suspect shard — \
-             use submit/tick/poll under fault injection"
-        );
-        // Partition into per-shard batches, remembering each request's
-        // (shard, position) so answers reassemble in request order.
-        let k = self.shards.len();
-        let mut per: Vec<Vec<(SessionId, &T::Obs)>> = (0..k).map(|_| Vec::new()).collect();
-        let mut placement = Vec::with_capacity(requests.len());
-        for &(id, obs) in requests {
-            let &(shard, local) = self.routes.get(&id).expect("unknown session id");
-            placement.push(shard);
-            per[shard].push((local, obs));
-        }
-        let busy: BTreeSet<GlobalSessionId> = requests.iter().map(|&(id, _)| id).collect();
-        self.memory_guard_lockstep(task, &per, &busy);
-        let (results, _step_ns) = self.step_partitioned(task, &per);
-        self.tick_no += 1;
-        for &(id, _) in requests {
-            self.last_served.insert(id, self.tick_no);
-        }
-        // A lockstep step is a full tick boundary: the CacheAware
-        // steering pass runs here too (no-op under other policies), and
-        // the once-per-cycle steering guard resets.
-        self.cache_steer_pass();
-        self.steered_this_tick.clear();
-
-        // Reassemble: within a shard, answers are in that shard's request
-        // order, which preserves the caller's relative order.
-        let mut cursors: Vec<std::vec::IntoIter<T::Action>> =
-            results.into_iter().map(Vec::into_iter).collect();
-        placement
-            .into_iter()
-            .map(|shard| cursors[shard].next().expect("shard returned too few actions"))
-            .collect()
-    }
-
     /// Step every shard with a non-empty batch, fanning the busy shards
-    /// out over `NT_THREADS` scoped workers (contiguous bands of shards
+    /// out over `NT_THREADS` pool workers (contiguous bands of shards
     /// per worker). Returns one action vector per shard, in that shard's
     /// batch order (empty for idle shards), plus each shard's step
     /// wall-ns (all zero when telemetry is off — no clock readings are
-    /// taken). Shared by the lockstep and the scheduled front ends; the
-    /// per-shard spans feed the [`TickPhase::PlanStep`] histograms.
+    /// taken). Shard state is fully disjoint and per-slot math is
+    /// independent of the fan-out, so any `NT_THREADS` produces identical
+    /// logits; the per-shard spans feed the [`TickPhase::PlanStep`]
+    /// histograms.
     #[allow(clippy::type_complexity)]
     fn step_partitioned(
         &mut self,
@@ -1593,6 +1498,20 @@ mod tests {
         m
     }
 
+    /// Submit one observation per session, run one tick, and poll every
+    /// ticket: the actions come back in `reqs` order.
+    fn serve_once(
+        server: &mut ShardedServer<NetLlmAbr>,
+        m: &NetLlmAbr,
+        reqs: &[(GlobalSessionId, &AbrObservation)],
+    ) -> Vec<usize> {
+        let tickets: Vec<Ticket> =
+            reqs.iter().map(|&(id, o)| server.submit(id, o.clone()).unwrap()).collect();
+        let report = server.tick(m);
+        assert_eq!(report.served, reqs.len(), "one tick serves one arrival per session");
+        tickets.into_iter().map(|t| server.poll(t).expect("served ticket must resolve")).collect()
+    }
+
     #[test]
     fn router_spreads_sessions_and_accounts_per_shard() {
         let m = model(4, 1);
@@ -1611,7 +1530,7 @@ mod tests {
         assert_eq!(server.cache_bytes(), 0);
         let obs = AbrObservation::synthetic_stream(3, 1);
         let reqs: Vec<_> = ids.iter().map(|&id| (id, &obs[0])).collect();
-        let _ = server.step(&m, &reqs);
+        let _ = serve_once(&mut server, &m, &reqs);
         let bytes = server.cache_bytes_per_shard();
         assert_eq!(bytes.iter().sum::<usize>(), server.cache_bytes());
         assert!(bytes.iter().all(|&b| b > 0), "every busy shard holds KV bytes: {bytes:?}");
@@ -1633,7 +1552,7 @@ mod tests {
             expected.push(obs.iter().map(|o| m.select(o)).collect());
         }
         for (t, o) in obs.iter().enumerate() {
-            let got = server.step(&m, &[(a, o), (b, o)]);
+            let got = serve_once(&mut server, &m, &[(a, o), (b, o)]);
             assert_eq!(got, vec![expected[0][t], expected[1][t]], "tick {t} diverged");
         }
     }
@@ -1663,7 +1582,7 @@ mod tests {
             }
             if chunk == 4 {
                 let report = server.leave(ids[4]);
-                assert!(report.is_clean(), "lockstep sessions leave nothing behind");
+                assert!(report.is_clean(), "fully polled sessions leave nothing behind");
                 let per = server.active_per_shard();
                 assert!(
                     per.iter().max().unwrap() - per.iter().min().unwrap() <= 1,
@@ -1673,7 +1592,7 @@ mod tests {
             let live = if chunk >= 4 { &ids[..4] } else { &ids[..] };
             let reqs: Vec<_> =
                 live.iter().enumerate().map(|(s, &id)| (id, &streams[s][chunk])).collect();
-            let actions = server.step(&m, &reqs);
+            let actions = serve_once(&mut server, &m, &reqs);
             for (s, (&id, act)) in live.iter().zip(actions).enumerate() {
                 let (eact, elogits) = &expected[s][chunk];
                 assert_eq!(act, *eact, "stream {s} chunk {chunk}: sharded action diverged");

@@ -11,7 +11,8 @@
 //!   after a tick, mirroring `SubmitRetry`;
 //! - fairness: one greedy pipelining connection cannot monopolize the
 //!   shared admission queues — the per-connection in-flight cap refuses
-//!   *it*, and a slow client's submit→completion latency stays bounded.
+//!   *it*, and a slow client's submit→completion latency stays bounded;
+//! - a config the scheduler cannot run is refused before anything binds.
 
 use netllm::wire::{read_frame, write_frame};
 use netllm::{
@@ -174,6 +175,28 @@ fn version_mismatch_refused_on_the_socket() {
     let ok = WireClient::connect(handle.addr()).unwrap();
     assert_eq!(ok.version(), netllm::WIRE_VERSION);
     handle.shutdown();
+}
+
+/// A config the scheduler cannot run is refused up front, naming the
+/// field, instead of binding a socket that never answers.
+#[test]
+fn serve_refuses_zero_sized_configs() {
+    let zeroed = [
+        ("shards", IngressConfig { shards: 0, ..IngressConfig::default() }),
+        ("queue_cap", IngressConfig { queue_cap: 0, ..IngressConfig::default() }),
+        ("max_open_per_conn", IngressConfig { max_open_per_conn: 0, ..IngressConfig::default() }),
+    ];
+    for (field, cfg) in zeroed {
+        let err = match serve(tiny("netllm-ingress-cfg"), cfg) {
+            Ok(handle) => {
+                handle.shutdown();
+                panic!("serve accepted {field}: 0");
+            }
+            Err(e) => e,
+        };
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{field}: {err}");
+        assert!(err.to_string().contains(field), "error must name {field}: {err}");
+    }
 }
 
 /// The leave contract on the wire: tickets still queued when `Leave`

@@ -85,9 +85,11 @@ fn mixed_fleet_matches_each_adapters_unbatched_path() {
             (cjs_id, FleetObs::Cjs(cjs_obs[tick].clone())),
             (abr_ids[1], FleetObs::Abr(abr_streams[1][tick].clone())),
         ];
-        let refs: Vec<_> = requests.iter().map(|&(id, ref o)| (id, o)).collect();
-        let actions = server.step(&fleet, &refs);
-        assert_eq!(actions.len(), 4);
+        let tickets: Vec<_> =
+            requests.into_iter().map(|(id, o)| server.submit(id, o).unwrap()).collect();
+        assert_eq!(server.tick(&fleet).served, 4, "one tick serves the whole batch");
+        let actions: Vec<_> =
+            tickets.into_iter().map(|t| server.poll(t).expect("served ticket resolves")).collect();
         let mut it = actions.into_iter();
         abr_served[0].push((it.next().unwrap().abr(), server.last_logits(abr_ids[0]).to_vec()));
         vp_served.push(server.last_logits(vp_id).to_vec());

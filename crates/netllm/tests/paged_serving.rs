@@ -135,9 +135,20 @@ fn paged_mixed_fleet_matches_contiguous_including_migration() {
                 (cjs_id, FleetObs::Cjs(cjs_obs[tick].clone())),
                 (abr_ids[1], FleetObs::Abr(abr_streams[1][tick].clone())),
             ];
-            let refs: Vec<_> = requests.iter().map(|&(id, ref o)| (id, o)).collect();
-            let _ = server.step(&fleet, &refs);
-            for &(id, _) in &requests {
+            let ids: Vec<_> = requests.iter().map(|&(id, _)| id).collect();
+            let mut tickets: Vec<_> =
+                requests.into_iter().map(|(id, o)| server.submit(id, o).unwrap()).collect();
+            // A pooled fleet may defer an arrival; tick until each resolves
+            // (every tick serves at least the oldest arrival).
+            for _ in 0..ids.len() {
+                let _ = server.tick(&fleet);
+                tickets.retain(|&t| server.poll(t).is_none());
+                if tickets.is_empty() {
+                    break;
+                }
+            }
+            assert!(tickets.is_empty(), "tick {tick}: deferred tickets never resolved");
+            for &id in &ids {
                 logits.push(server.last_logits(id).to_vec());
             }
             let _ = server.leave(vp_id);
