@@ -1,7 +1,7 @@
 //! Rule-based schedulers: FIFO, Fair (paper §A.3) and an SRPT heuristic
 //! (used as the behaviour-cloning teacher for Decima's warm start).
 
-use crate::sim::{Candidate, Decision, SchedView, Scheduler};
+use crate::sim::{Decision, SchedView, Scheduler};
 
 /// First-in-first-out: serve the earliest-arrived job, give it as many
 /// executors as it can use (Spark's default FIFO mode).
@@ -94,11 +94,6 @@ impl Scheduler for Srpt {
             .map(|(i, _)| i)?;
         Some(Decision { candidate: idx, cap: usize::MAX })
     }
-}
-
-/// Index of a candidate in a view (test helper and shared logic).
-pub fn candidate_index(view: &SchedView, c: Candidate) -> Option<usize> {
-    view.candidates.iter().position(|&x| x == c)
 }
 
 #[cfg(test)]

@@ -91,7 +91,6 @@ enum KvBacking {
 /// is hard-bounded by the pool budget.
 pub struct KvCache {
     backing: KvBacking,
-    dim: usize,
 }
 
 impl KvCache {
@@ -101,7 +100,6 @@ impl KvCache {
             backing: KvBacking::Contig(
                 (0..lm.cfg.n_layers).map(|_| AttnKv::empty(lm.cfg.d_model)).collect(),
             ),
-            dim: lm.cfg.d_model,
         }
     }
 
@@ -123,7 +121,6 @@ impl KvCache {
                     .collect(),
                 pool: pool.clone(),
             },
-            dim: lm.cfg.d_model,
         }
     }
 
@@ -240,78 +237,6 @@ impl KvCache {
                 pool.free_pages(),
                 pool.capacity_pages()
             );
-        }
-    }
-
-    /// Re-home this cache onto `target` (`None` = contiguous): a no-op
-    /// when the backing already matches, otherwise the filled rows are
-    /// copied into the new layout and the old pages (if any) go back to
-    /// their pool. Values are preserved exactly, so a migrated session's
-    /// subsequent answers are bit-identical — this is what lets a
-    /// parked serving slot move between engines regardless of their
-    /// memory mode. Panics when `target` cannot supply the pages.
-    pub fn adopt(&mut self, target: Option<&PagePool>) {
-        match (&self.backing, target) {
-            (KvBacking::Contig(_), None) => return,
-            (KvBacking::Paged { pool, .. }, Some(p)) if pool.same_pool(p) => return,
-            _ => {}
-        }
-        let len = self.len();
-        fn snapshot<S: KvStorage>(kv: &S, len: usize) -> (Vec<f32>, Vec<f32>) {
-            let mut k = Vec::new();
-            let mut v = Vec::new();
-            for j in 0..len {
-                k.extend_from_slice(kv.k_row(j));
-                v.extend_from_slice(kv.v_row(j));
-            }
-            (k, v)
-        }
-        let rows: Vec<(Vec<f32>, Vec<f32>)> = match &self.backing {
-            KvBacking::Contig(layers) => layers.iter().map(|l| snapshot(l, len)).collect(),
-            KvBacking::Paged { layers, .. } => layers.iter().map(|l| snapshot(l, len)).collect(),
-        };
-        let new_backing = match target {
-            None => KvBacking::Contig(
-                rows.iter()
-                    .map(|(k, v)| {
-                        let mut kv = AttnKv::empty(self.dim);
-                        kv.extend_rows(k, v);
-                        kv
-                    })
-                    .collect(),
-            ),
-            Some(pool) => {
-                assert_eq!(pool.dim(), self.dim, "adopting pool sized for another model width");
-                let per_layer = pool.pages_for(len);
-                let mut pages = pool.alloc_pages(per_layer * rows.len()).unwrap_or_else(|| {
-                    panic!(
-                        "cannot adopt session of {len} positions: needs {} pages, {} free",
-                        per_layer * rows.len(),
-                        pool.free_pages()
-                    )
-                });
-                KvBacking::Paged {
-                    layers: rows
-                        .iter()
-                        .map(|(k, v)| {
-                            let mut kv = PagedAttnKv::new(pool.page_tokens(), self.dim);
-                            for _ in 0..per_layer {
-                                kv.push_page(pages.pop().expect("allocation covered every layer"));
-                            }
-                            kv.extend_rows(k, v);
-                            kv
-                        })
-                        .collect(),
-                    pool: pool.clone(),
-                }
-            }
-        };
-        let old = std::mem::replace(&mut self.backing, new_backing);
-        if let KvBacking::Paged { mut layers, pool } = old {
-            for l in &mut layers {
-                l.truncate(0);
-                pool.release_pages(l.release_unused());
-            }
         }
     }
 }
@@ -1048,38 +973,6 @@ mod tests {
             paged.leave(slot);
         }
         assert_eq!(pool.used_pages(), 0, "leave must return every page");
-    }
-
-    #[test]
-    fn adopt_rehomes_kv_between_layouts_without_changing_values() {
-        use crate::paged::{PageConfig, PagePool};
-        let mut s = ParamStore::new();
-        let lm = tiny(&mut s);
-        let pool_a = PagePool::for_model(&lm, PageConfig { page_tokens: 4, budget_bytes: 1 << 15 });
-        let pool_b = PagePool::for_model(&lm, PageConfig { page_tokens: 8, budget_bytes: 1 << 15 });
-        let ids = [1usize, 4, 9, 2, 7];
-
-        let mut cache = KvCache::new_paged(&lm, &pool_a);
-        let _ = lm.forward_hidden_cached(&s, &ids, &mut cache);
-        let held_a = pool_a.used_pages();
-        assert!(held_a > 0);
-
-        // paged(A) -> paged(B) -> contiguous -> paged(A): the decode must
-        // continue bit-identically to a session that never moved.
-        cache.adopt(Some(&pool_b));
-        assert_eq!(pool_a.used_pages(), 0, "re-homing returns the old pool's pages");
-        assert!(pool_b.used_pages() > 0);
-        cache.adopt(None);
-        assert_eq!(pool_b.used_pages(), 0);
-        cache.adopt(Some(&pool_a));
-        let hidden = lm.forward_hidden_cached(&s, &[5, 3], &mut cache);
-
-        let mut fresh = KvCache::new(&lm);
-        let _ = lm.forward_hidden_cached(&s, &ids, &mut fresh);
-        let want = lm.forward_hidden_cached(&s, &[5, 3], &mut fresh);
-        assert_eq!(hidden.data(), want.data(), "adopt changed the cached values");
-        drop(cache);
-        assert_eq!(pool_a.used_pages(), 0, "drop must return every page");
     }
 
     #[test]

@@ -61,14 +61,6 @@ pub struct PageConfig {
     pub budget_bytes: usize,
 }
 
-impl PageConfig {
-    /// `page_tokens = 16` with the given budget — a page spans a couple of
-    /// decision-transformer steps at the repo's token-per-step scales.
-    pub fn with_budget(budget_bytes: usize) -> Self {
-        PageConfig { page_tokens: 16, budget_bytes }
-    }
-}
-
 /// Point-in-time occupancy of a [`PagePool`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PoolStats {
@@ -153,19 +145,36 @@ impl PagePool {
         }
     }
 
-    /// Pool sized for `lm`, asserting the budget can hold at least one
-    /// full-context session (`n_layers x pages_for(max_seq)`) — below
-    /// that, a single session could wedge admission forever.
+    /// Pool sized for `lm`, asserting it can back `lm`'s sessions (see
+    /// [`PagePool::check_backs`]).
     pub fn for_model(lm: &TinyLm, cfg: PageConfig) -> Self {
         let pool = PagePool::new(lm.cfg.d_model, cfg);
-        let one_session = lm.cfg.n_layers * pool.pages_for(lm.cfg.max_seq);
-        assert!(
-            pool.capacity_pages() >= one_session,
-            "budget {}B holds {} pages but one full-context session needs {one_session}",
-            cfg.budget_bytes,
-            pool.capacity_pages()
-        );
+        if let Err(why) = pool.check_backs(lm) {
+            panic!("budget {}B: {why}", cfg.budget_bytes);
+        }
         pool
+    }
+
+    /// Whether this pool can back sessions of `lm`: its pages must be
+    /// `d_model` wide, and it must hold at least one full-context session
+    /// (`n_layers x pages_for(max_seq)`) — below that, a single session
+    /// could wedge admission forever. The error names the failed check.
+    pub fn check_backs(&self, lm: &TinyLm) -> Result<(), String> {
+        if self.dim() != lm.cfg.d_model {
+            return Err(format!(
+                "page pool sized for dim {} cannot back a dim-{} model",
+                self.dim(),
+                lm.cfg.d_model
+            ));
+        }
+        let floor = lm.cfg.n_layers * self.pages_for(lm.cfg.max_seq);
+        if self.capacity_pages() < floor {
+            return Err(format!(
+                "page pool too small: one full-context session needs {floor} pages, capacity {}",
+                self.capacity_pages()
+            ));
+        }
+        Ok(())
     }
 
     /// Whether two handles refer to the same pool.

@@ -118,15 +118,6 @@ impl Zoo {
         Zoo { cache_dir: cache_dir.into() }
     }
 
-    /// Default cache location: `$NETLLM_ZOO_DIR` or `artifacts/zoo` under the
-    /// current directory.
-    pub fn default_cache() -> Self {
-        let dir = std::env::var("NETLLM_ZOO_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|_| PathBuf::from("artifacts/zoo"));
-        Zoo::new(dir)
-    }
-
     fn path_for(&self, spec: &ModelSpec, steps: usize) -> PathBuf {
         self.cache_dir.join(format!("{}-s{}.ntck", spec.name, steps))
     }

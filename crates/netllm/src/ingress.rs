@@ -64,6 +64,7 @@ use crate::adapters::vp::NetLlmVp;
 use crate::fleet::{FleetObs, NetLlmFleet, FLEET_ABR, FLEET_CJS, FLEET_VP};
 use crate::metrics::MetricsSnapshot;
 use crate::sched::{AdmissionPolicy, EvictionPolicy, SubmitError, Ticket, TicketStatus};
+use crate::serving::ServedTask;
 use crate::shard::ShardedServer;
 use crate::telemetry::{EventKind, EventsView, RefusalReason};
 use crate::wire::{
@@ -314,19 +315,30 @@ struct OpenTicket {
 /// Serve `models` on a fresh loopback listener. Returns once the
 /// listener is bound and the scheduler is running. A config the
 /// scheduler cannot run — zero `shards`, `queue_cap` or
-/// `max_open_per_conn` — is refused with [`std::io::ErrorKind::InvalidInput`]
-/// naming the field, before anything is bound.
+/// `max_open_per_conn`, or a `pool` that cannot back one of the three
+/// backbones ([`PagePool::check_backs`]) — is refused with
+/// [`std::io::ErrorKind::InvalidInput`] naming the field, before anything
+/// is bound.
 pub fn serve(models: FleetModels, cfg: IngressConfig) -> std::io::Result<IngressHandle> {
+    let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg);
     for (field, value) in [
         ("shards", cfg.shards),
         ("queue_cap", cfg.queue_cap),
         ("max_open_per_conn", cfg.max_open_per_conn),
     ] {
         if value == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("IngressConfig::{field} must be at least 1"),
-            ));
+            return Err(invalid(format!("IngressConfig::{field} must be at least 1")));
+        }
+    }
+    if let Some(pool) = &cfg.pool {
+        let fleet = NetLlmFleet { abr: &models.abr, cjs: &models.cjs, vp: &models.vp };
+        for group in 0..fleet.groups() {
+            pool.check_backs(fleet.backbone(group).0).map_err(|why| {
+                invalid(format!(
+                    "IngressConfig::pool cannot back the {} backbone: {why}",
+                    fleet.task_label(group)
+                ))
+            })?;
         }
     }
     let listener = TcpListener::bind("127.0.0.1:0")?;

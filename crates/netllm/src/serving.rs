@@ -254,19 +254,11 @@ pub struct ServingEngine<T: ServedTask> {
     /// KV pages for admitted sessions come from here when set (possibly
     /// shared with other engines — the budget is global to the pool).
     pool: Option<PagePool>,
-    /// Cumulative per-phase wall time (plan+backbone / rollback pass /
-    /// head+settle), for the profiling bin.
-    pub phase_times: [std::time::Duration; 3],
 }
 
 impl<T: ServedTask> Default for ServingEngine<T> {
     fn default() -> Self {
-        ServingEngine {
-            slots: SlotMap::new(),
-            next_gen: 0,
-            pool: None,
-            phase_times: [std::time::Duration::ZERO; 3],
-        }
+        ServingEngine { slots: SlotMap::new(), next_gen: 0, pool: None }
     }
 }
 
@@ -281,11 +273,6 @@ impl<T: ServedTask> ServingEngine<T> {
     /// pool to every shard for a fleet-wide bound.
     pub fn with_page_pool(pool: PagePool) -> Self {
         ServingEngine { pool: Some(pool), ..ServingEngine::default() }
-    }
-
-    /// The pool this engine's sessions draw pages from, if any.
-    pub fn page_pool(&self) -> Option<&PagePool> {
-        self.pool.as_ref()
     }
 
     /// Occupancy of the attached pool (`None` for contiguous engines).
@@ -389,18 +376,6 @@ impl<T: ServedTask> ServingEngine<T> {
         task.rebuild_rows(&slot.state, &slot.session) * d_model
     }
 
-    /// Resident sessions per backbone group (`len == task.groups()`) —
-    /// the batch-shape signal a placement policy's same-backbone
-    /// tie-break reads: slots of one group share stacked GEMMs, so a
-    /// shard already hosting a group serves its joiners densest.
-    pub fn backbone_histogram(&self, task: &T) -> Vec<usize> {
-        let mut hist = vec![0usize; task.groups()];
-        for slot in self.slots.iter() {
-            hist[task.group_of(&slot.state)] += 1;
-        }
-        hist
-    }
-
     /// Cached KV positions one session holds (per layer) — what a fault
     /// that drops the cache costs in episode-replay rows.
     pub fn kv_rows_of(&self, id: SessionId) -> usize {
@@ -422,18 +397,15 @@ impl<T: ServedTask> ServingEngine<T> {
         let lm = task.backbone(group).0;
         let session = match &self.pool {
             Some(pool) => {
-                // Below this floor a single session's re-anchor rebuild can
-                // exceed the whole pool with nothing left to evict — the
-                // queued front end would defer its arrival forever.
-                // `PagePool::for_model` checks one backbone; this covers
-                // every backbone actually admitted (heterogeneous fleets).
-                let floor = lm.cfg.n_layers * pool.pages_for(lm.cfg.max_seq);
-                assert!(
-                    pool.capacity_pages() >= floor,
-                    "page pool too small for group {group}'s backbone: one full-context \
-                     session needs {floor} pages, capacity {} — raise budget_bytes",
-                    pool.capacity_pages()
-                );
+                // Below the pool's floor a single session's re-anchor
+                // rebuild can exceed the whole pool with nothing left to
+                // evict — the queued front end would defer its arrival
+                // forever. `PagePool::for_model` checks one backbone; this
+                // covers every backbone actually admitted (heterogeneous
+                // fleets).
+                if let Err(why) = pool.check_backs(lm) {
+                    panic!("group {group}'s backbone: {why} — raise budget_bytes");
+                }
                 InferenceSession::paged(lm, pool)
             }
             None => InferenceSession::new(lm),
@@ -462,14 +434,18 @@ impl<T: ServedTask> ServingEngine<T> {
 
     /// Re-admit a parked session; returns its new id (the old one is
     /// dead: admission always bumps the generation). The session's KV
-    /// cache is re-homed onto this engine's memory mode (same pool: no-op;
-    /// different pool or contiguous: values copied exactly), so a parked
-    /// slot moves between engines without changing any answer.
+    /// cache moves as it is, so it must already draw from this engine's
+    /// pool (or both must be pool-less): engines that trade sessions share
+    /// one pool, as every shard of a `ShardedServer` does. Panics
+    /// otherwise.
     pub fn admit(&mut self, parked: ParkedSlot<T>) -> SessionId {
+        let mut slot = parked.0;
+        assert!(
+            slot.session.draws_from(self.pool.as_ref()),
+            "parked session's KV cache draws from another pool than this engine's"
+        );
         self.next_gen += 1;
         let gen = self.next_gen;
-        let mut slot = parked.0;
-        slot.session.adopt(self.pool.as_ref());
         slot.gen = gen;
         let idx = self.slots.insert(slot);
         SessionId { idx: idx as u32, gen }
@@ -557,7 +533,6 @@ impl<T: ServedTask> ServingEngine<T> {
         // bit-identical. Band tasks carry the pool's worker flag (no
         // second layer of per-matmul parallelism), and an engine that is
         // *itself* inside a pool worker (a shard task) stays serial.
-        let t0 = std::time::Instant::now();
         let threads = if nt_tensor::pool::in_worker() {
             1
         } else {
@@ -627,10 +602,8 @@ impl<T: ServedTask> ServingEngine<T> {
                 .flat_map(|m| m.into_inner().unwrap().expect("serving band skipped"))
                 .collect()
         };
-        self.phase_times[0] += t0.elapsed();
 
         // Phase 3: task heads over each slot's new hidden rows.
-        let t2 = std::time::Instant::now();
         let mut actions = Vec::with_capacity(requests.len());
         let mut rollbacks: Vec<Option<RollbackPlan>> = Vec::with_capacity(requests.len());
         for ((slot, &(_, obs)), h) in picked.iter_mut().zip(requests).zip(&hidden) {
@@ -639,7 +612,6 @@ impl<T: ServedTask> ServingEngine<T> {
             rollbacks.push(out.rollback);
             actions.push(out.action);
         }
-        self.phase_times[2] += t2.elapsed();
 
         // Rollback pass: slots whose trailing rows are not persistent
         // history (CJS candidates) truncate them away, then their post
@@ -647,7 +619,6 @@ impl<T: ServedTask> ServingEngine<T> {
         // batched append per same-group run. Per-slot math is identical
         // to the unbatched truncate-then-append — KV state is private to
         // each slot.
-        let t1 = std::time::Instant::now();
         let mut rb: Vec<(&mut EngineSlot<T>, Tensor)> = Vec::new();
         for (slot, plan) in picked.iter_mut().zip(rollbacks) {
             if let Some(RollbackPlan { drop_rows, post_tokens }) = plan {
@@ -672,7 +643,6 @@ impl<T: ServedTask> ServingEngine<T> {
             let _ = append_batched(lm, store, &mut sessions, &stacked, &rows);
             i = j;
         }
-        self.phase_times[1] += t1.elapsed();
         actions
     }
 }
@@ -835,5 +805,21 @@ mod tests {
         let a = engine.join(&m);
         let obs = obs_stream(9, 1);
         let _ = engine.step(&m, &[(a, &obs[0]), (a, &obs[0])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "draws from another pool")]
+    fn admit_refuses_a_session_from_another_pool() {
+        // A parked session moves with its KV cache as it is: an engine on a
+        // different memory mode must refuse it, not copy it.
+        let m = model(4, 45);
+        let pool = nt_llm::PagePool::for_model(
+            &m.lm,
+            nt_llm::PageConfig { page_tokens: 16, budget_bytes: 1 << 20 },
+        );
+        let mut paged = ServingEngine::with_page_pool(pool);
+        let id = paged.join(&m);
+        let parked = paged.park(id);
+        let _ = ServingEngine::<NetLlmAbr>::new().admit(parked);
     }
 }

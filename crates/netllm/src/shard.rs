@@ -424,24 +424,9 @@ impl<T: ServedTask> ShardedServer<T> {
         healthy[self.policy.place(id, &view)]
     }
 
-    /// The fleet-wide page pool, if the fleet is memory-bounded.
-    pub fn page_pool(&self) -> Option<&PagePool> {
-        self.pool.as_ref()
-    }
-
     /// Occupancy of the fleet-wide pool (`None` for unbounded fleets).
     pub fn pool_stats(&self) -> Option<PoolStats> {
         self.pool.as_ref().map(PagePool::stats)
-    }
-
-    /// The active eviction policy.
-    pub fn eviction_policy(&self) -> EvictionPolicy {
-        self.eviction
-    }
-
-    /// Swap the eviction policy (applies from the next memory guard run).
-    pub fn set_eviction_policy(&mut self, eviction: EvictionPolicy) {
-        self.eviction = eviction;
     }
 
     /// Replace the per-shard backpressure cap (only while no arrival is
@@ -643,21 +628,6 @@ impl<T: ServedTask> ShardedServer<T> {
     /// steering run on.
     pub fn cache_bytes_per_shard(&self) -> Vec<usize> {
         self.shards.iter().map(ServingEngine::cache_bytes).collect()
-    }
-
-    /// Pool pages held per shard — the accounting `PageAware` placement
-    /// and steering run on (all zero for pool-less fleets).
-    pub fn pages_held_per_shard(&self) -> Vec<usize> {
-        self.shards.iter().map(ServingEngine::pages_held).collect()
-    }
-
-    /// Resident sessions per backbone group, per shard — the fleet-wide
-    /// batch-shape view (`histograms[shard][group]`). `PageAware`
-    /// placement ties break toward the shard hosting the most
-    /// same-backbone residents, because same-group slots share one
-    /// stacked backbone GEMM per step.
-    pub fn backbone_histograms(&self, task: &T) -> Vec<Vec<usize>> {
-        self.shards.iter().map(|e| e.backbone_histogram(task)).collect()
     }
 
     /// Head outputs of `id`'s most recent step.

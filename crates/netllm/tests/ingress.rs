@@ -12,7 +12,8 @@
 //! - fairness: one greedy pipelining connection cannot monopolize the
 //!   shared admission queues — the per-connection in-flight cap refuses
 //!   *it*, and a slow client's submit→completion latency stays bounded;
-//! - a config the scheduler cannot run is refused before anything binds.
+//! - a config the scheduler cannot run (a zero-sized bound, or a page pool
+//!   that cannot back every backbone) is refused before anything binds.
 
 use netllm::wire::{read_frame, write_frame};
 use netllm::{
@@ -21,6 +22,7 @@ use netllm::{
 };
 use nt_abr::AbrObservation;
 use nt_cjs::{generate_workload, run_workload, Srpt, WorkloadConfig};
+use nt_llm::{session_floor_bytes, PageConfig, PagePool};
 use nt_vp::{extract_samples, generate, jin2022_like, DatasetSpec, VpSample};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -187,16 +189,39 @@ fn serve_refuses_zero_sized_configs() {
         ("max_open_per_conn", IngressConfig { max_open_per_conn: 0, ..IngressConfig::default() }),
     ];
     for (field, cfg) in zeroed {
-        let err = match serve(tiny("netllm-ingress-cfg"), cfg) {
-            Ok(handle) => {
-                handle.shutdown();
-                panic!("serve accepted {field}: 0");
-            }
-            Err(e) => e,
-        };
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{field}: {err}");
-        assert!(err.to_string().contains(field), "error must name {field}: {err}");
+        assert_refused(tiny("netllm-ingress-cfg"), cfg, field);
     }
+}
+
+/// A page pool that cannot back every backbone — pages of the wrong
+/// width, or fewer pages than one full-context session — is refused up
+/// front too, instead of panicking the scheduler on the first `Join`.
+#[test]
+fn serve_refuses_a_pool_that_cannot_back_the_fleet() {
+    let models = tiny("netllm-ingress-cfg");
+    let lm = &models.abr.lm;
+    let (d, page_tokens) = (lm.cfg.d_model, 4);
+    let floor = session_floor_bytes(lm, page_tokens);
+    let pools = [
+        PagePool::new(d + 1, PageConfig { page_tokens, budget_bytes: 4 * floor }),
+        PagePool::new(d, PageConfig { page_tokens, budget_bytes: floor - 1 }),
+    ];
+    for pool in pools {
+        let cfg = IngressConfig { pool: Some(pool), ..IngressConfig::default() };
+        assert_refused(tiny("netllm-ingress-cfg"), cfg, "pool");
+    }
+}
+
+fn assert_refused(models: FleetModels, cfg: IngressConfig, field: &str) {
+    let err = match serve(models, cfg) {
+        Ok(handle) => {
+            handle.shutdown();
+            panic!("serve accepted a bad {field}");
+        }
+        Err(e) => e,
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{field}: {err}");
+    assert!(err.to_string().contains(field), "error must name {field}: {err}");
 }
 
 /// The leave contract on the wire: tickets still queued when `Leave`

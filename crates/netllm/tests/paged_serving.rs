@@ -121,7 +121,8 @@ fn paged_mixed_fleet_matches_contiguous_including_migration() {
         for tick in 0..ticks {
             if tick == 3 {
                 // Migration mid-stream: park/admit must stay bit-identical
-                // in both memory modes (same-pool adopt is a no-op).
+                // in both memory modes (the KV cache moves as it is: every
+                // shard draws from the same pool, or none does).
                 let dest = 1 - server.shard_of(abr_ids[0]);
                 server.steer(abr_ids[0], dest);
             }

@@ -24,9 +24,7 @@ enum Op {
     Sub,
     Mul,
     Div,
-    Neg,
     Scale(f32),
-    AddScalar,
     Matmul,
     BatchMatmul,
     TransposeLast2,
@@ -103,10 +101,6 @@ impl Graph {
         let mut g = Graph::new(false, 0);
         g.tape = false;
         g
-    }
-
-    pub fn is_training(&self) -> bool {
-        self.training
     }
 
     /// Whether backward bookkeeping is being recorded.
@@ -219,16 +213,8 @@ impl Graph {
         self.push(op, vec![a], out, ng)
     }
 
-    pub fn neg(&mut self, a: NodeId) -> NodeId {
-        self.unary(Op::Neg, a, |x| -x)
-    }
-
     pub fn scale(&mut self, a: NodeId, c: f32) -> NodeId {
         self.unary(Op::Scale(c), a, |x| x * c)
-    }
-
-    pub fn add_scalar(&mut self, a: NodeId, c: f32) -> NodeId {
-        self.unary(Op::AddScalar, a, |x| x + c)
     }
 
     pub fn relu(&mut self, a: NodeId) -> NodeId {
@@ -691,11 +677,6 @@ impl Graph {
                 self.acc(grads, a, |s| add_into(s, &ga));
                 self.acc(grads, b, |s| add_into(s, &gb));
             }
-            Op::Neg => self.acc(grads, ps[0], |s| {
-                for (si, gi) in s.iter_mut().zip(g) {
-                    *si -= gi;
-                }
-            }),
             Op::Scale(c) => {
                 let c = *c;
                 self.acc(grads, ps[0], |s| {
@@ -704,7 +685,6 @@ impl Graph {
                     }
                 })
             }
-            Op::AddScalar => self.acc(grads, ps[0], |s| add_into(s, g)),
             Op::Relu => {
                 let x = self.nodes[ps[0]].value.data();
                 self.acc(grads, ps[0], |s| {

@@ -95,9 +95,8 @@ pub fn in_worker() -> bool {
 /// dispatch round trip (publish + wake + participate + join) costs on the
 /// order of a microsecond, and the serial quad kernel retires roughly a
 /// MAC per nanosecond, so 256 Ki MACs (~0.25 ms serial) amortizes the
-/// dispatch more than a hundredfold. The spawn-era pool needed `4 << 20`
-/// (tens of microseconds per `std::thread::scope` spawn); that value
-/// lives on as the legacy-kernel baseline in `tensor.rs`.
+/// dispatch more than a hundredfold. This is the one dispatch rule for
+/// every kernel (`matmul_into` included).
 pub const PAR_FLOPS_MIN: usize = 1 << 18;
 
 /// Whether a kernel of roughly `flops` multiply-accumulates is worth a
